@@ -26,12 +26,12 @@ number of unique binaries, not clients × binaries.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
 from pathlib import Path
 
+from benchstats import percentile
 from repro.elf.writer import write_elf
 from repro.service import DetectionServer, DetectionService, ServiceClient
 from repro.store import ArtifactStore
@@ -43,17 +43,11 @@ _CLIENTS = max(2, int(os.environ.get("REPRO_BENCH_CLIENTS", "100")))
 _CLIENT_TIMEOUT = 600.0
 
 
-def _percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
-    return ordered[index]
-
-
 def _percentiles(values: list[float]) -> dict[str, float]:
     return {
-        "p50": round(_percentile(values, 0.50), 6),
-        "p90": round(_percentile(values, 0.90), 6),
-        "p99": round(_percentile(values, 0.99), 6),
+        "p50": round(percentile(values, 0.50), 6),
+        "p90": round(percentile(values, 0.90), 6),
+        "p99": round(percentile(values, 0.99), 6),
     }
 
 

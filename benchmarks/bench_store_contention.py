@@ -21,6 +21,7 @@ import os
 import time
 from pathlib import Path
 
+from benchstats import percentile
 from repro.eval.metrics import BinaryMetrics
 from repro.store import ArtifactStore, blob_digest
 
@@ -91,14 +92,6 @@ def _writer(root: str, writer: int, ops: int, out_path: str) -> None:
     Path(out_path).write_text(
         json.dumps({"seconds": seconds, "lock_waits": store.lock_waits})
     )
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(fraction * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _audit(store: ArtifactStore, writers: int, ops: int) -> tuple[int, int]:
@@ -190,9 +183,9 @@ def test_store_contention(tmp_path_factory, report_writer):
         "throughput_ops_per_second": round(total_ops / wall_seconds, 3),
         "lock_waits": {
             "acquisitions": len(lock_waits),
-            "p50_seconds": round(_percentile(lock_waits, 0.50), 6),
-            "p90_seconds": round(_percentile(lock_waits, 0.90), 6),
-            "p99_seconds": round(_percentile(lock_waits, 0.99), 6),
+            "p50_seconds": round(percentile(lock_waits, 0.50), 6),
+            "p90_seconds": round(percentile(lock_waits, 0.90), 6),
+            "p99_seconds": round(percentile(lock_waits, 0.99), 6),
             "max_seconds": round(max(lock_waits), 6) if lock_waits else 0.0,
         },
         "index": store.index.stats(),
@@ -211,9 +204,9 @@ def test_store_contention(tmp_path_factory, report_writer):
                 f"({total_ops / wall_seconds:.0f} ops/s)",
                 f"  lock acquisitions  : {len(lock_waits)}",
                 "  lock wait p50/p90/p99: "
-                f"{_percentile(lock_waits, 0.5) * 1000:.2f} / "
-                f"{_percentile(lock_waits, 0.9) * 1000:.2f} / "
-                f"{_percentile(lock_waits, 0.99) * 1000:.2f} ms",
+                f"{percentile(lock_waits, 0.5) * 1000:.2f} / "
+                f"{percentile(lock_waits, 0.9) * 1000:.2f} / "
+                f"{percentile(lock_waits, 0.99) * 1000:.2f} ms",
             ]
         ),
     )

@@ -12,10 +12,9 @@ is read; undecodable bytes are also violations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import DecodeError, decode_instruction
 from repro.x86.instruction import (
     _F_CALL,
     _F_RET,
@@ -56,13 +55,14 @@ def satisfies_calling_convention(
 ) -> bool:
     """Whether code starting at ``address`` looks like a function entry.
 
-    With a ``context`` the verdict is memoized per address (the check is a
-    pure function of the image bytes) and decoding goes through the shared
-    decode cache.
+    The verdict is memoized per address on the context (the check is a pure
+    function of the image bytes); without one, a fresh context serves the
+    call.
     """
-    if context is not None:
-        return context.calling_convention_ok(address, max_instructions=max_instructions)
-    return check_entry_convention(image, address, max_instructions=max_instructions)
+    from repro.core.context import context_for
+
+    context = context_for(image, context)
+    return context.calling_convention_ok(address, max_instructions=max_instructions)
 
 
 def adjusted_entry_masks(insn: Instruction) -> int:
@@ -83,38 +83,24 @@ def adjusted_entry_masks(insn: Instruction) -> int:
 
 
 def check_entry_convention(
-    image: BinaryImage,
+    context: "AnalysisContext",
     address: int,
     *,
     max_instructions: int = _DEFAULT_LIMIT,
-    decode: Callable[[int], Instruction | None] | None = None,
-    cache: dict[int, Instruction | None] | None = None,
 ) -> bool:
-    """The uncached convention walk; ``decode`` overrides instruction access.
+    """The unmemoized per-instruction walk from a function entry.
 
-    ``cache`` (a shared decode memo, ``address -> Instruction | None``) lets
-    the walk probe already-decoded instructions directly at dict speed;
-    ``decode`` is then only invoked for addresses the cache has never seen.
+    The reference implementation of the §IV-E check, which the span-summary
+    walk of :meth:`~repro.core.context.AnalysisContext.calling_convention_ok`
+    must agree with.
     """
-    if decode is None:
-        def decode(current: int) -> Instruction | None:
-            section = image.section_containing(current)
-            if section is None or not section.is_executable:
-                return None
-            try:
-                return decode_instruction(section.data, current - section.address, current)
-            except DecodeError:
-                return None
-
-    cache_get = cache.get if cache is not None else None
     return _convention_walk(
-        decode, cache_get, address, _ENTRY_INITIALIZED_MASK, max_instructions, set()
+        context, address, _ENTRY_INITIALIZED_MASK, max_instructions, set()
     )
 
 
 def _convention_walk(
-    decode: Callable[[int], Instruction | None],
-    cache_get,
+    context: "AnalysisContext",
     address: int,
     initialized: int,
     max_instructions: int,
@@ -122,11 +108,11 @@ def _convention_walk(
 ) -> bool:
     """The per-instruction convention walk from an arbitrary mid-walk state.
 
-    This is the reference implementation of the §IV-E check;
     :meth:`repro.core.context.AnalysisContext.calling_convention_ok` runs an
     equivalent span-summary walk and falls back to this one (with the
     accumulated ``initialized``/budget/``jump_targets`` state) whenever a
-    jump leaves the span-aligned fast path.
+    jump leaves the span-aligned fast path.  Already-decoded instructions
+    are probed at dict speed; ``context.decode`` serves the rest.
     """
     # ``initialized`` always contains RSP/RBP, so the violation test reduces
     # to a plain subset check over the read-set; both sets are tracked as bit
@@ -136,13 +122,12 @@ def _convention_walk(
     # instruction can never produce a new violation because ``initialized``
     # only grows, so detecting the cycle one lap late keeps the verdict.
     current = address
+    cache_get = context.decode_cache.get
+    decode = context.decode
 
     for _ in range(max_instructions):
-        if cache_get is not None:
-            insn = cache_get(current, _UNCACHED)
-            if insn is _UNCACHED:
-                insn = decode(current)
-        else:
+        insn = cache_get(current, _UNCACHED)
+        if insn is _UNCACHED:
             insn = decode(current)
         if insn is None:
             return False

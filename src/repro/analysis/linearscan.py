@@ -40,7 +40,9 @@ def linear_scan_gaps(
     start with one are rejected (scan-based detectors on CET binaries use
     this to suppress mid-function false starts).
     """
-    cache = context.decode_cache if context is not None else None
+    from repro.core.context import context_for
+
+    cache = context_for(image, context).decode_cache
     starts: set[int] = set()
     for gap_start, gap_end in gaps:
         section = image.section_containing(gap_start)

@@ -42,11 +42,10 @@ class NoreturnAnalysis:
         """Return the set of non-returning function starts in ``result``."""
         if self.mode == "precise":
             if disassembler is None:
-                # One accumulating disassembler for the whole compute() call,
-                # exactly as in the context-free run: the shared context only
-                # contributes canonical (order-independent) caches, so the
-                # verdicts — including on call cycles — are identical with
-                # and without it.
+                # One accumulating disassembler for the whole compute() call:
+                # its context only contributes canonical (order-independent)
+                # caches, so the verdicts — including on call cycles — are
+                # identical with a shared context and with a fresh one.
                 disassembler = RecursiveDisassembler(self.image, context=self.context)
             return {
                 start for start in result.functions if disassembler.is_noreturn(start)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.jumptable import resolve_jump_table
 from repro.analysis.result import DisassembledFunction, DisassemblyResult
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import decode_block
+from repro.x86.disassembler import decode_block  # noqa: F401 - patched by tracers
 from repro.x86.instruction import (
     _F_CALL,
     _F_COND_JUMP,
@@ -44,11 +44,12 @@ _PATH_TRIM_AT = 2 * _PATH_KEEP
 class RecursiveDisassembler:
     """Recursive-traversal disassembler with on-demand noreturn analysis.
 
-    With a shared :class:`~repro.core.context.AnalysisContext`, two levels of
-    work are shared with every other consumer of the same image:
+    Through its :class:`~repro.core.context.AnalysisContext` (a fresh one
+    when none is given), two levels of work are shared with every other
+    consumer of the same image:
 
-    * the instruction-decode memo (the context's dict is used directly, so
-      the hot path stays at C speed), and
+    * the decoded spans and the instruction-decode memo (the context's dict
+      is used directly, so the hot path stays at C speed), and
     * fully-explored functions and their noreturn facts.
 
     Function-level sharing is restricted to *canonical* computations: the
@@ -68,25 +69,16 @@ class RecursiveDisassembler:
         follow_calls: bool = True,
         context: "AnalysisContext | None" = None,
     ):
+        from repro.core.context import context_for
+
         self.image = image
         self.follow_calls = follow_calls
-        self.context = context
-        if context is not None:
-            self._decode_cache: dict[int, Instruction | None] = context.decode_cache
-            self._shared_functions: dict[int, DisassembledFunction] | None = (
-                context.function_cache
-            )
-            self._shared_noreturn: dict[int, bool] | None = context.noreturn_facts
-        else:
-            self._decode_cache = {}
-            self._shared_functions = None
-            self._shared_noreturn = None
+        self.context = context = context_for(image, context)
+        self._shared_functions: dict[int, DisassembledFunction] = context.function_cache
+        self._shared_noreturn: dict[int, bool] = context.noreturn_facts
         self._noreturn: dict[int, bool] = {}
         self._tainted: set[int] = set()
         self._in_progress: set[int] = set()
-        self._last_exec_section = None
-        self._last_exec_lo = 0
-        self._last_exec_hi = 0
         #: precomputed executable ranges; target checks run hot in traversal
         self._exec_bounds = image._executable_bounds
 
@@ -130,40 +122,10 @@ class RecursiveDisassembler:
                 return True
         return False
 
-    def _decode(self, address: int) -> Instruction | None:
-        cache = self._decode_cache
-        try:
-            return cache[address]
-        except KeyError:
-            pass
-        # Memoize the last executable section: traversal stays inside one
-        # section for long stretches, making the binary search redundant.
-        section = self._last_exec_section
-        if section is None or not (self._last_exec_lo <= address < self._last_exec_hi):
-            section = self.image.section_containing(address)
-            if section is None or not section.is_executable:
-                cache[address] = None
-                return None
-            self._last_exec_section = section
-            self._last_exec_lo = section.address
-            self._last_exec_hi = section.end_address
-        # Straight-line fall-through dominates traversal, so decode a block
-        # of successors into the cache at once (decode failures are stored
-        # as ``None`` by decode_block).
-        decode_block(
-            section.data,
-            address - section.address,
-            address,
-            16,
-            cache=cache,
-            stop_at_terminator=True,
-        )
-        return cache[address]
-
     def _disassemble_function(self, start: int) -> DisassembledFunction:
         """Explore intra-procedural control flow from ``start``."""
         shared = self._shared_functions
-        if shared is not None and start in shared and start not in self._tainted:
+        if start in shared and start not in self._tainted:
             # Canonical (assumption-free) computation cached for this image;
             # recomputing it is guaranteed to give the same answer.
             self._noreturn[start] = self._shared_noreturn[start]
@@ -174,11 +136,7 @@ class RecursiveDisassembler:
             return function
         self._in_progress.add(start)
 
-        context = self.context
-        if context is not None and context._span_index is not None:
-            saw_ret, saw_escape, tainted = self._explore_spans(function)
-        else:
-            saw_ret, saw_escape, tainted = self._explore_linear(function)
+        saw_ret, saw_escape, tainted = self._explore_spans(function)
 
         self._in_progress.discard(start)
         # A function is non-returning when no reachable path ends in `ret` and
@@ -195,8 +153,8 @@ class RecursiveDisassembler:
         self._noreturn[start] = noreturn
         if tainted:
             self._tainted.add(start)
-        elif self._shared_functions is not None and start not in self._shared_functions:
-            self._shared_functions[start] = function
+        elif start not in shared:
+            shared[start] = function
             self._shared_noreturn[start] = noreturn
         return function
 
@@ -431,8 +389,8 @@ class RecursiveDisassembler:
         return saw_ret, saw_escape, tainted
 
     def _explore_linear(self, function: DisassembledFunction) -> tuple[bool, bool, bool]:
-        """The reference per-instruction traversal (``REPRO_SPAN_CACHE=0``
-        or context-free operation)."""
+        """The reference per-instruction traversal that
+        :meth:`_explore_spans` must agree with, byte for byte."""
         start = function.start
         worklist = [start]
         path_cache: dict[int, list[Instruction]] = {start: []}
@@ -440,8 +398,7 @@ class RecursiveDisassembler:
         saw_escape = False
         tainted = False
         instructions = function.instructions
-        cache_get = self._decode_cache.get
-        decode = self._decode
+        decode = self.context.decode
 
         while worklist and len(instructions) < _MAX_FUNCTION_INSTRUCTIONS:
             address = worklist.pop()
@@ -449,9 +406,7 @@ class RecursiveDisassembler:
             while address is not None:
                 if address in instructions:
                     break
-                insn = cache_get(address, _UNCACHED)
-                if insn is _UNCACHED:
-                    insn = decode(address)
+                insn = decode(address)
                 if insn is None:
                     function.had_decode_error = True
                     break
@@ -515,10 +470,6 @@ class RecursiveDisassembler:
 
         return saw_ret, saw_escape, tainted
 
-    def _call_returns(self, target: int) -> bool:
-        """Whether a call to ``target`` can fall through."""
-        return self._call_returns_tracked(target)[0]
-
     def _call_returns_tracked(self, target: int) -> tuple[bool, bool]:
         """(can the call fall through, did the answer rely on an assumption).
 
@@ -529,7 +480,7 @@ class RecursiveDisassembler:
         the shared context cache.
         """
         shared = self._shared_noreturn
-        if shared is not None and target in shared and target not in self._tainted:
+        if target in shared and target not in self._tainted:
             return not shared[target], False
         if target in self._noreturn:
             return not self._noreturn[target], target in self._tainted

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.gaps import compute_gaps
 from repro.analysis.result import DisassemblyResult
 from repro.elf.image import BinaryImage
-from repro.x86.disassembler import DecodeError, decode_instruction
 from repro.x86.instruction import (
     _F_CALL,
     _F_CALL_OR_JUMP,
@@ -41,8 +39,8 @@ def collect_potential_pointers(
 ) -> set[int]:
     """Collect the conservative super-set of potential function pointers.
 
-    The data-section sliding-window scan depends only on the image, so with a
-    ``context`` it is computed once per binary; the gap scan and the code
+    The data-section sliding-window scan depends only on the image, so it
+    is computed once per context; the gap scan and the code
     constants depend on ``result`` and are memoized on the result itself
     (keyed by its monotonically-growing instruction/constant counts, so the
     pipeline's repeat calls over an unchanged disassembly reuse the scan).
@@ -52,12 +50,9 @@ def collect_potential_pointers(
     if cached is not None and cached[0] == state:
         return set(cached[1])
 
-    from repro.core.context import scan_data_pointers, scan_pointer_windows
+    from repro.core.context import context_for, scan_pointer_windows
 
-    if context is not None:
-        candidates = set(context.data_pointer_candidates())
-    else:
-        candidates = scan_data_pointers(image)
+    candidates = set(context_for(image, context).data_pointer_candidates())
 
     for gap_start, gap_end in compute_gaps(image, result):
         section = image.section_containing(gap_start)
@@ -88,13 +83,16 @@ def validate_function_pointer(
     Implements the four error checks of §IV-E.  ``known_starts`` are the
     function starts detected before pointer validation.
     """
+    from repro.core.context import context_for
+
+    context = context_for(image, context)
     if address in known_starts or address in result.instructions:
         return False
     if not image.is_executable_address(address):
         return False
     if result.is_inside_instruction(address):
         return False
-    if not satisfies_calling_convention(image, address, context=context):
+    if not context.calling_convention_ok(address):
         return False
 
     visited: set[int] = set()
@@ -106,20 +104,9 @@ def validate_function_pointer(
             if current in visited or current in result.instructions:
                 break
             budget -= 1
-            if context is not None:
-                insn = context.decode(current)
-                if insn is None:
-                    return False
-            else:
-                section = image.section_containing(current)
-                if section is None or not section.is_executable:
-                    return False
-                try:
-                    insn = decode_instruction(
-                        section.data, current - section.address, current
-                    )
-                except DecodeError:
-                    return False
+            insn = context.decode(current)
+            if insn is None:
+                return False
             if result.is_inside_instruction(current):
                 return False
             visited.add(current)

@@ -136,7 +136,7 @@ class GhidraLike(BaselineTool):
         image: BinaryImage,
         disassembly,
         starts: set[int],
-        context: AnalysisContext | None = None,
+        context: AnalysisContext,
     ) -> set[int]:
         """GHIDRA's matcher only fires on aligned matches right after padding."""
         gaps = self._gaps(image, disassembly)

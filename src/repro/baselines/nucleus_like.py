@@ -11,7 +11,7 @@ caller's component (false negatives).
 
 from __future__ import annotations
 
-import networkx as nx
+from collections import defaultdict
 
 from repro.baselines.base import BaselineTool
 from repro.core.registry import register_detector
@@ -61,9 +61,9 @@ class NucleusLike(BaselineTool):
 
     # ------------------------------------------------------------------
     def _linear_sweep(
-        self, image: BinaryImage, context: AnalysisContext | None = None
+        self, image: BinaryImage, context: AnalysisContext
     ) -> dict[int, Instruction]:
-        cache = context.decode_cache if context is not None else None
+        cache = context.decode_cache
         instructions: dict[int, Instruction] = {}
         for section in image.executable_sections:
             for insn in decode_range(
@@ -75,30 +75,52 @@ class NucleusLike(BaselineTool):
     def _build_cfg(
         self, instructions: dict[int, Instruction]
     ) -> tuple[set[int], list[set[int]]]:
-        graph = nx.Graph()
+        """Direct call targets and the weakly-connected components of the
+        intra-procedural CFG (a union-find over instruction addresses).
+
+        ``(bad)`` and padding instructions are no nodes of their own, but an
+        edge from a real instruction still pulls its endpoint into the
+        component."""
+        parent: dict[int, int] = {}
+
+        def find(node: int) -> int:
+            root = node
+            while parent[root] != root:
+                root = parent[root]
+            while parent[node] != root:  # path compression
+                parent[node], node = root, parent[node]
+            return root
+
+        def add_edge(a: int, b: int) -> None:
+            parent.setdefault(b, b)
+            root_a, root_b = find(a), find(b)
+            if root_a != root_b:
+                parent[root_b] = root_a
+
         call_targets: set[int] = set()
-        ordered = sorted(instructions)
-        for address in ordered:
+        for address in sorted(instructions):
             insn = instructions[address]
             if insn.mnemonic == "(bad)" or insn.is_padding:
                 continue
-            graph.add_node(address)
+            parent.setdefault(address, address)
             if insn.is_call:
                 if insn.branch_target is not None:
                     call_targets.add(insn.branch_target)
                 if insn.end in instructions:
-                    graph.add_edge(address, insn.end)
+                    add_edge(address, insn.end)
                 continue
             if insn.is_jump:
                 target = insn.branch_target
                 if target is not None and target in instructions:
-                    graph.add_edge(address, target)
+                    add_edge(address, target)
                 if insn.is_conditional_jump and insn.end in instructions:
-                    graph.add_edge(address, insn.end)
+                    add_edge(address, insn.end)
                 continue
             if insn.is_ret or insn.mnemonic in ("ud2", "hlt"):
                 continue
             if insn.end in instructions:
-                graph.add_edge(address, insn.end)
-        components = [set(c) for c in nx.connected_components(graph)]
-        return call_targets, components
+                add_edge(address, insn.end)
+        components: defaultdict[int, set[int]] = defaultdict(set)
+        for node in parent:
+            components[find(node)].add(node)
+        return call_targets, list(components.values())

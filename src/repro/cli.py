@@ -29,6 +29,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 import time
 
@@ -851,6 +852,10 @@ def serve_main(argv: list[str]) -> int:
         )
         try:
             host, port = server.start()
+            # SIGINT is the drain signal.  A parent may have started us with
+            # it ignored (a background job of a non-interactive shell), which
+            # would make the server undrainable, so restore the default.
+            signal.signal(signal.SIGINT, signal.default_int_handler)
             print(f"listening on {host}:{port}", flush=True)
             while True:
                 time.sleep(1)

@@ -23,18 +23,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from typing import TYPE_CHECKING
-
-from repro.analysis.callconv import satisfies_calling_convention
 from repro.analysis.result import DisassemblyResult
 from repro.analysis.xrefs import collect_potential_pointers
-from repro.dwarf.cfa_table import CfaTable, build_cfa_table
+from repro.core.context import AnalysisContext, context_for
+from repro.dwarf.cfa_table import CfaTable
 from repro.dwarf.structs import FdeRecord
 from repro.elf.image import BinaryImage
-from repro.x86.instruction import _F_CALL, _F_JUMP
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.context import AnalysisContext
 
 
 @dataclass
@@ -66,7 +60,7 @@ def detect_tail_calls_and_merge(
     require_zero_stack_height: bool = True,
     require_calling_convention: bool = True,
     require_unreferenced_target: bool = True,
-    context: "AnalysisContext | None" = None,
+    context: AnalysisContext | None = None,
 ) -> TailCallOutcome:
     """Run Algorithm 1.
 
@@ -83,18 +77,17 @@ def detect_tail_calls_and_merge(
     Returns:
         The tail-call targets found and the merges performed.
     """
+    context = context_for(image, context)
     outcome = TailCallOutcome()
     fdes_by_start = {fde.pc_begin: fde for fde in image.fdes}
-    references = _collect_references(
-        image, disassembly, extra_references or set(), context=context
-    )
+    references = _collect_references(image, disassembly, extra_references or set(), context)
 
     for start in sorted(function_starts):
         function = disassembly.functions.get(start)
         fde = fdes_by_start.get(start)
         if function is None or fde is None:
             continue
-        table = context.cfa_table(fde) if context is not None else build_cfa_table(fde)
+        table = context.cfa_table(fde)
         if not table.has_complete_stack_height:
             outcome.skipped_functions.add(start)
             continue
@@ -122,8 +115,7 @@ def detect_tail_calls_and_merge(
                     or not require_unreferenced_target
                 )
                 convention_ok = (
-                    satisfies_calling_convention(image, target, context=context)
-                    or not require_calling_convention
+                    context.calling_convention_ok(target) or not require_calling_convention
                 )
                 if only_local_jumps and convention_ok:
                     outcome.tail_call_targets.add(target)
@@ -156,8 +148,7 @@ def _collect_references(
     image: BinaryImage,
     disassembly: DisassemblyResult,
     extra: set[int],
-    *,
-    context: "AnalysisContext | None" = None,
+    context: AnalysisContext,
 ) -> dict[int, list[tuple[str, int]]]:
     """Map target address -> list of (kind, source) references.
 

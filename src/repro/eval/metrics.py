@@ -95,10 +95,6 @@ class CorpusMetrics:
         return sum(m.true_count for m in self.per_binary)
 
     @property
-    def total_detected(self) -> int:
-        return sum(m.detected_count for m in self.per_binary)
-
-    @property
     def total_false_positives(self) -> int:
         return sum(m.fp_count for m in self.per_binary)
 

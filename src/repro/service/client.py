@@ -222,6 +222,13 @@ class ServiceClient:
 
     def close(self) -> None:
         """Drop the connection (the server handles an abrupt close cleanly)."""
+        # shutdown() before close(): close() alone does not wake the reader
+        # thread blocked in readline() on Linux, so the join below would
+        # wait out its whole timeout whenever the server keeps the socket.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already disconnected
         try:
             self._sock.close()
         except OSError:

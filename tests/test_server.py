@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -576,6 +577,44 @@ class TestDrain:
                 socket.create_connection((host, port), timeout=5)
         finally:
             _GATE.set()
+
+    def test_client_close_returns_while_server_holds_the_connection(self):
+        """Regression: ``close()`` used to wait out the reader join's 5 s
+        timeout, because closing a socket does not wake a thread blocked
+        reading it; the client now shuts the socket down first."""
+        with DetectionService(workers=1) as service:
+            with DetectionServer(service) as server:
+                client = ServiceClient.connect(*server.address, timeout=30)
+                assert client.stats()["event"] == "stats"  # session is live
+                began = time.monotonic()
+                client.close()
+                elapsed = time.monotonic() - began
+                assert not client._reader.is_alive()
+        assert elapsed < 1.0
+
+    def test_cli_server_drains_on_sigint_even_if_started_ignoring_it(self):
+        """A background job of a non-interactive shell starts with SIGINT
+        ignored; ``serve --tcp`` must still drain and exit 0 on SIGINT."""
+        source_root = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source_root), env.get("PYTHONPATH", "")])
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--tcp", "127.0.0.1:0", "--workers", "1", "--no-store"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            banner = server.stdout.readline().strip()
+            assert banner.startswith("listening on "), banner
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
 
 
 # ----------------------------------------------------------------------
