@@ -11,6 +11,14 @@ throughput in ``BENCH_service.json``:
   (the "process restarted" case): still zero detector invocations, proving
   the dedupe lives in the content-addressed store, not in process memory.
 
+The ``scaling`` block sweeps cold throughput over ``workers`` = 1 … nproc
+on the recording machine, plus one oversubscribed point (nproc + 1), so
+the record shows where adding worker processes stops paying.  Each point
+is a fresh service with no store; a no-op detector batch first starts
+every worker process (start-up and imports are not what the sweep
+measures, and the no-op warms no cache), then the timed FETCH batch runs.
+The best of :data:`_SCALING_ROUNDS` rounds is kept.
+
 The store for this benchmark is deliberately private and temporary (not the
 shared ``benchmarks/.store``) so the cold leg is cold on every run and the
 cold/warm ratio stays comparable run-to-run.
@@ -19,9 +27,11 @@ cold/warm ratio stays comparable run-to-run.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
+from repro.core.results import DetectionResult
 from repro.elf.writer import write_elf
 from repro.service import DetectionService
 from repro.store import ArtifactStore
@@ -29,12 +39,60 @@ from repro.store import ArtifactStore
 BENCH_DIRECTORY = Path(__file__).resolve().parent.parent
 
 _WORKERS = 2
+_SCALING_ROUNDS = 3
+#: a sweep point within this share of the best throughput counts as saturated
+_SATURATION_SHARE = 0.9
+
+
+class _StartWorkers:
+    """A no-op detector: one batch of it starts every worker process
+    without warming the FETCH memo or store."""
+
+    name = "start-workers"
+
+    def detect(self, image, context=None):
+        return DetectionResult(binary_name=image.name)
 
 
 def _timed_batch(service: DetectionService, paths: list[str]) -> tuple[float, list]:
     start = time.perf_counter()
     results = list(service.submit(paths).results())
     return time.perf_counter() - start, results
+
+
+def _scaling_sweep(paths: list[str]) -> dict:
+    """Cold FETCH throughput at workers = 1 … nproc, then nproc + 1."""
+    nproc = len(os.sched_getaffinity(0))
+    points = []
+    for workers in range(1, nproc + 2):
+        best = None
+        for _ in range(_SCALING_ROUNDS):
+            with DetectionService(workers=workers, queue_limit=0) as service:
+                started = list(service.submit(paths, detectors=[_StartWorkers()]).results())
+                assert all(result.ok for result in started)
+                seconds, results = _timed_batch(service, paths)
+                assert all(result.ok and not result.cached for result in results)
+                assert service.detector_runs == 2 * len(paths)
+            best = seconds if best is None else min(best, seconds)
+        points.append({"workers": workers, "cold_seconds": round(best, 6)})
+    base = points[0]["cold_seconds"]
+    for point in points:
+        point["throughput_binaries_per_second"] = round(len(paths) / point["cold_seconds"], 3)
+        point["speedup"] = round(base / point["cold_seconds"], 3)
+        point["efficiency"] = round(base / point["cold_seconds"] / point["workers"], 3)
+    best_throughput = max(point["throughput_binaries_per_second"] for point in points)
+    saturates_at = next(
+        point["workers"]
+        for point in points
+        if point["throughput_binaries_per_second"] >= _SATURATION_SHARE * best_throughput
+    )
+    return {
+        "nproc": nproc,
+        "binaries": len(paths),
+        "rounds_best_of": _SCALING_ROUNDS,
+        "points": points,
+        "saturates_at_workers": saturates_at,
+    }
 
 
 def test_service_cold_vs_warm_throughput(
@@ -75,6 +133,8 @@ def test_service_cold_vs_warm_throughput(
     }, "warm results drifted from cold"
     assert warm_seconds < cold_seconds, "a zero-work batch must beat a full one"
 
+    scaling = _scaling_sweep(paths)
+
     record = {
         "bench": "service",
         "created_unix": round(time.time(), 3),
@@ -101,6 +161,7 @@ def test_service_cold_vs_warm_throughput(
             },
         },
         "extra": {"warm_speedup": round(cold_seconds / warm_seconds, 3)},
+        "scaling": scaling,
     }
     path = BENCH_DIRECTORY / "BENCH_service.json"
     if path.exists():
@@ -123,6 +184,14 @@ def test_service_cold_vs_warm_throughput(
                 f"({len(paths) / warm_seconds:.1f} bin/s, {warm_runs} detector runs)",
                 f"  warm batch (same svc) : {rerun_seconds:.3f}s",
                 f"  warm speedup          : {cold_seconds / warm_seconds:.1f}x",
+                f"  cold scaling (nproc {scaling['nproc']}, saturates at "
+                f"{scaling['saturates_at_workers']} workers):",
+                *(
+                    f"    workers {point['workers']:>2}          : "
+                    f"{point['throughput_binaries_per_second']:.1f} bin/s "
+                    f"(x{point['speedup']:.2f})"
+                    for point in scaling["points"]
+                ),
             ]
         ),
     )

@@ -740,7 +740,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         metavar="N",
-        help="long-lived worker threads in the service pool (default: 2)",
+        help="long-lived worker processes in the service pool (default: 2)",
     )
     parser.add_argument(
         "--queue-limit",

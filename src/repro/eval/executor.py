@@ -13,20 +13,31 @@ Two primitives live here:
   respawned — via ``pool_factory`` when the caller owns a persistent pool —
   and only the unfinished items are retried, up to ``max_respawns`` times.
 * :class:`ShardedWorkerPool` — the long-lived counterpart used by
-  :class:`repro.service.DetectionService`: worker threads that persist
+  :class:`repro.service.DetectionService`: shard threads that persist
   across batches, each draining its own FIFO queue, with a deterministic
-  task-key → worker mapping so all work for one key (a binary content
-  digest) lands on one thread in submission order.  Workers are
-  *supervised*: a thread that dies (a :class:`~repro.resilience.faults.
-  WorkerKilled` injection, or any ``BaseException`` escaping a task) is
-  restarted in place, and a task that was queued-but-not-started when the
-  worker died is requeued at the front of its shard — exactly-once for
-  unstarted tasks, at-most-once for started ones.
+  task-key → shard mapping so all work for one key (a binary content
+  digest) lands on one shard in submission order.  Each shard also owns
+  one worker *process*, started lazily on first use, that runs the
+  shard's CPU-bound calls (:meth:`ShardedWorkerPool.call`) outside the
+  parent's GIL.  Both halves are *supervised*: a shard thread that dies
+  (a :class:`~repro.resilience.faults.WorkerKilled` injection, or any
+  ``BaseException`` escaping a task) is restarted in place, and a task
+  that was queued-but-not-started when it died is requeued at the front
+  of its shard — exactly-once for unstarted tasks, at-most-once for
+  started ones; a worker process that dies or overruns its call's budget
+  is reaped and replaced on the shard's next call.
+
+Decode accounting crosses the process boundary exactly: a child reports
+the raw decodes each call performed (:func:`counting_decodes`) and the
+parent adds them to its own ``DECODE_STATS`` (:func:`fold_decodes`).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import signal
 import threading
 from collections import deque
 from concurrent.futures import (
@@ -38,6 +49,8 @@ from concurrent.futures import (
 from typing import Any, Callable, Iterable, TypeVar
 
 from repro.resilience import faults
+from repro.resilience.policy import DetectorTimeout
+from repro.x86.disassembler import DECODE_STATS
 
 _Item = TypeVar("_Item")
 
@@ -58,6 +71,27 @@ def _bump_fault_epoch() -> None:
         POOL_RESPAWNS += 1
         epoch = int(os.environ.get(FAULT_EPOCH_VAR, "0")) + 1
         os.environ[FAULT_EPOCH_VAR] = str(epoch)
+
+
+_decode_fold_lock = threading.Lock()
+
+
+def counting_decodes(fn: Callable[..., Any], *args: Any) -> tuple[Any, int]:
+    """``(fn(*args), raw decodes it performed)`` — the child half of the
+    decode accounting.  ``DECODE_STATS`` is process-local, so a child ships
+    this delta back and the parent adds it with :func:`fold_decodes`."""
+    before = DECODE_STATS.raw_decodes
+    value = fn(*args)
+    return value, DECODE_STATS.raw_decodes - before
+
+
+def fold_decodes(count: int) -> None:
+    """The parent half: add a child's decode delta to this process's count.
+
+    Locked, because several shard threads fold concurrently and ``+=`` on
+    an attribute is not atomic."""
+    with _decode_fold_lock:
+        DECODE_STATS.raw_decodes += count
 
 
 def parallel_map(
@@ -176,8 +210,116 @@ def _process_map(
             executor.shutdown(wait=False)
 
 
-#: Queue sentinel telling a :class:`ShardedWorkerPool` worker to exit.
+#: Queue sentinel telling a :class:`ShardedWorkerPool` shard thread to exit.
 _STOP = object()
+
+
+class WorkerDied(ConnectionError):
+    """A shard's worker process exited before answering a call.
+
+    A ``ConnectionError``, so the default :class:`~repro.resilience.policy.
+    RetryPolicy` retries it — the retry runs on the replacement process."""
+
+
+def _worker_main(conn: Any) -> None:
+    """A worker process: answer pickled ``(fn, args)`` requests until EOF.
+
+    A request is one flag byte then the pickle; each reply is ``(ok, value
+    or exception, raw decodes)``.  With the flag set an empty message goes
+    out first, once the request is unpickled, so the parent starts a call's
+    time budget when the call starts — not while a fresh process imports
+    the modules the request refers to.  The loop ends when the parent
+    closes the pipe, or goes away.
+    """
+    # SIGINT is the parent's drain signal; a worker finishes its call and
+    # exits when the parent closes the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            request = conn.recv_bytes()
+            try:
+                fn, args = pickle.loads(memoryview(request)[1:])
+                reply = None
+            except Exception as error:  # noqa: BLE001 - e.g. an unimportable class
+                reply = (False, error, 0)
+            if request[0]:
+                conn.send_bytes(b"")
+            if reply is None:
+                try:
+                    value, decodes = counting_decodes(fn, *args)
+                    reply = (True, value, decodes)
+                except Exception as error:  # noqa: BLE001 - re-raised in the parent
+                    reply = (False, error, 0)
+            try:
+                payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+            except Exception as error:  # noqa: BLE001 - the reply does not pickle
+                payload = pickle.dumps(
+                    (False, RuntimeError(f"unpicklable reply: {error}"), reply[2])
+                )
+            conn.send_bytes(payload)
+    except (EOFError, OSError):
+        return
+
+
+class _WorkerProcess:
+    """One shard's worker process and the parent's end of its pipe.
+
+    Started from a ``forkserver`` context: the parent is multithreaded,
+    and ``fork`` from a multithreaded process may copy a lock held by
+    another thread into the child.
+    """
+
+    #: seconds an idle worker gets to exit after its pipe closes
+    STOP_GRACE = 5.0
+
+    def __init__(self, name: str):
+        context = multiprocessing.get_context("forkserver")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_worker_main, args=(child_conn,), name=name, daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        #: a request was sent and its reply not yet read (the pipe is not
+        #: reusable until it is, so a call abandoned mid-way retires us)
+        self.busy = False
+
+    def call(self, fn: Callable[..., Any], args: tuple, timeout: float, label: str) -> Any:
+        # pickle up front: a request that does not pickle fails here, with
+        # nothing written, and the worker stays usable
+        request = bytes([timeout > 0]) + pickle.dumps((fn, args), pickle.HIGHEST_PROTOCOL)
+        self.busy = True
+        self._exchange(self.conn.send_bytes, request)
+        if timeout > 0:
+            self._exchange(self.conn.recv_bytes)  # the call is starting
+            if not self.conn.poll(timeout):
+                raise DetectorTimeout(f"{label} exceeded {timeout:g}s budget")
+        reply = self._exchange(self.conn.recv_bytes)
+        self.busy = False
+        ok, value, decodes = pickle.loads(reply)
+        fold_decodes(decodes)
+        if not ok:
+            raise value
+        return value
+
+    def _exchange(self, operation: Callable[..., Any], *args: Any) -> Any:
+        try:
+            return operation(*args)
+        except (EOFError, OSError):
+            raise WorkerDied(f"worker process {self.process.name} died mid-call") from None
+
+    def stop(self, *, kill: bool) -> None:
+        """Close the pipe (an idle worker exits on EOF) and reap the process;
+        ``kill`` — or a worker still running after :attr:`STOP_GRACE` —
+        is SIGKILLed first."""
+        if kill:
+            self.process.kill()
+        self.conn.close()
+        self.process.join(self.STOP_GRACE)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        self.process.close()
 
 
 class _ShardQueue:
@@ -211,33 +353,46 @@ class _ShardQueue:
 
 
 class ShardedWorkerPool:
-    """Long-lived, supervised worker threads, each draining its own queue.
+    """Long-lived, supervised shards: a thread draining its own queue, and
+    a worker process for the thread's CPU-bound calls.
 
     :func:`parallel_map` spins its pool up and down per call, which is right
     for one-shot batch evaluation but wrong for a process that stays up: a
     persistent service wants warm workers and a *stable* routing of related
     work.  Tasks are submitted with a shard key (any int, or a hex string
     such as a content digest); :meth:`shard_of` maps the key onto one of the
-    ``workers`` threads, so every task sharing a key executes on the same
-    thread in submission order.  The detection service shards by binary
-    content digest, which serialises duplicate binaries behind each other —
-    by the time the second copy runs, the first has already populated the
-    cache.
+    ``workers`` shards, so every task sharing a key executes on the same
+    shard thread in submission order.  The detection service shards by
+    binary content digest, which serialises duplicate binaries behind each
+    other — by the time the second copy runs, the first has already
+    populated the cache.
 
-    Tasks are bare callables and own their error handling: a task that
-    raises an ``Exception`` is recorded in :attr:`task_errors` (most recent
-    last, bounded) and the worker moves on.  A ``BaseException`` — notably
-    an injected :class:`~repro.resilience.faults.WorkerKilled` — unwinds
-    the worker thread instead, and the supervisor takes over: the thread is
-    restarted in place (:attr:`worker_restarts`) and, when the death struck
-    *before* the dequeued task started, that task is requeued at the front
-    of its shard (:attr:`requeued_tasks`) so it is never lost and never run
-    twice.  A death mid-task does **not** requeue — the task may have had
-    side effects, and the service layer's retry policy owns that case.
+    Tasks are bare callables that run on the shard thread, where admission,
+    caching and bookkeeping stay in the parent process; a task moves its
+    CPU-bound part into the shard's worker process with :meth:`call`.  The
+    worker process is started lazily on the shard's first call, from a
+    ``forkserver`` context, so a pool costs no process until it has work,
+    and ``workers`` shards use up to ``workers`` cores.
+
+    Tasks own their error handling: a task that raises an ``Exception`` is
+    recorded in :attr:`task_errors` (most recent last, bounded) and the
+    shard moves on.  A ``BaseException`` — notably an injected
+    :class:`~repro.resilience.faults.WorkerKilled` — unwinds the shard
+    thread instead, and the supervisor takes over: the thread is restarted
+    in place (:attr:`worker_restarts`) and, when the death struck *before*
+    the dequeued task started, that task is requeued at the front of its
+    shard (:attr:`requeued_tasks`) so it is never lost and never run twice.
+    A death mid-task does **not** requeue — the task may have had side
+    effects, and the service layer's retry policy owns that case.  A worker
+    process that dies mid-call (:class:`WorkerDied`) or overruns the call's
+    ``timeout`` (:class:`~repro.resilience.policy.DetectorTimeout`, after
+    which it is killed) is reaped, counted in :attr:`worker_restarts`, and
+    replaced by a fresh process on the shard's next call.
 
     Thread safety: :meth:`submit` may be called from any thread, including
-    from tasks already running on the pool; :meth:`close` must be called
-    exactly once, after which further submissions raise ``RuntimeError``.
+    from tasks already running on the pool; :meth:`close` stops the shard
+    threads and their worker processes, after which further submissions
+    raise ``RuntimeError``.
     """
 
     #: how many unexpected task exceptions to keep for diagnosis
@@ -247,7 +402,7 @@ class ShardedWorkerPool:
         self.workers = max(1, int(workers))
         self.name = name
         self.task_errors: list[BaseException] = []
-        #: dead worker threads restarted by the supervisor
+        #: dead shard threads restarted, plus worker processes replaced
         self.worker_restarts = 0
         #: in-flight tasks requeued after their worker died pre-start
         self.requeued_tasks = 0
@@ -256,6 +411,9 @@ class ShardedWorkerPool:
         self._queues: list[_ShardQueue] = [_ShardQueue() for _ in range(self.workers)]
         #: per-shard task dequeued but not yet started (requeue on death)
         self._current: list[Any] = [None] * self.workers
+        #: per-shard worker process (``None`` until the shard's first call)
+        self._processes: list[_WorkerProcess | None] = [None] * self.workers
+        self._process_locks = [threading.Lock() for _ in range(self.workers)]
         self._threads: list[threading.Thread] = [
             self._spawn(index, generation=0) for index in range(self.workers)
         ]
@@ -269,7 +427,7 @@ class ShardedWorkerPool:
         )
 
     def shard_of(self, key: int | str) -> int:
-        """The worker index ``key`` routes to (stable for the pool's life)."""
+        """The shard index ``key`` routes to (stable for the pool's life)."""
         if isinstance(key, str):
             # hex digests route by their leading 64 bits; anything else by hash
             try:
@@ -279,7 +437,7 @@ class ShardedWorkerPool:
         return key % self.workers
 
     def submit(self, shard_key: int | str, task: Callable[[], Any]) -> int:
-        """Queue ``task`` on the worker owning ``shard_key``; returns the shard."""
+        """Queue ``task`` on the shard owning ``shard_key``; returns the shard."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed ShardedWorkerPool")
@@ -287,12 +445,51 @@ class ShardedWorkerPool:
             self._queues[shard].put(task)
         return shard
 
-    # -- worker loop + supervision --------------------------------------
+    def call(
+        self,
+        shard_key: int | str,
+        fn: Callable[..., Any],
+        *args: Any,
+        timeout: float = 0.0,
+        label: str = "call",
+    ) -> Any:
+        """Run ``fn(*args)`` in the worker process of ``shard_key``'s shard.
+
+        Meant for the shard's own tasks, which makes calls on one process
+        sequential (a lock keeps any other caller in line).  ``fn``, the
+        arguments and the return value cross a pipe, so they must pickle;
+        an exception ``fn`` raises is re-raised here.  ``timeout > 0``
+        bounds the call's run time: on expiry the process is killed and
+        :class:`~repro.resilience.policy.DetectorTimeout` raised.  A process
+        that dies mid-call raises :class:`WorkerDied`.  Either way the
+        shard's next call starts a fresh process.
+        """
+        shard = self.shard_of(shard_key)
+        with self._process_locks[shard]:
+            process = self._processes[shard]
+            if process is None:
+                process = _WorkerProcess(f"{self.name}-{shard}")
+                self._processes[shard] = process
+            try:
+                return process.call(fn, args, timeout, label)
+            finally:
+                if process.busy:  # died, timed out, or abandoned mid-call
+                    self._processes[shard] = None
+                    process.stop(kill=True)
+                    with self._lock:
+                        self.worker_restarts += 1
+
+    # -- shard loop + supervision ---------------------------------------
     def _run(self, shard: int) -> None:
         try:
             self._drain(shard)
-        except BaseException:  # noqa: BLE001 - worker death, supervised below
+        except BaseException:  # noqa: BLE001 - thread death, supervised below
             self._revive(shard)
+            return
+        with self._process_locks[shard]:
+            process, self._processes[shard] = self._processes[shard], None
+        if process is not None:
+            process.stop(kill=False)
 
     def _drain(self, shard: int) -> None:
         task_queue = self._queues[shard]
@@ -328,18 +525,20 @@ class ShardedWorkerPool:
             self._threads[shard] = thread
 
     def close(self, *, wait: bool = True) -> None:
-        """Stop accepting work; with ``wait``, drain queues and join workers.
+        """Stop accepting work; with ``wait``, drain the queues and join the
+        shard threads, which stop their worker processes as they exit.
 
-        The join tolerates supervision: if a worker dies (and is replaced)
-        while draining its remaining queue, the replacement is joined too —
-        ``_STOP`` is re-consumed by whichever incarnation reaches it.
+        The join tolerates supervision: if a shard thread dies (and is
+        replaced) while draining its remaining queue, the replacement is
+        joined too — ``_STOP`` is re-consumed by whichever incarnation
+        reaches it.  A later ``close(wait=True)`` after ``close(wait=False)``
+        still joins.
         """
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for task_queue in self._queues:
-                task_queue.put(_STOP)
+            if not self._closed:
+                self._closed = True
+                for task_queue in self._queues:
+                    task_queue.put(_STOP)
         if wait:
             for shard in range(self.workers):
                 while True:

@@ -39,13 +39,17 @@ from repro.core import FetchDetector, FetchOptions
 from repro.core.context import AnalysisContext
 from repro.core.fde_source import extract_fde_starts, fde_symbol_coverage
 from repro.core.registry import detectors as registered_detectors
-from repro.eval.executor import FAULT_EPOCH_VAR, parallel_map
+from repro.eval.executor import (
+    FAULT_EPOCH_VAR,
+    counting_decodes,
+    fold_decodes,
+    parallel_map,
+)
 from repro.eval.metrics import BinaryMetrics, CorpusMetrics, compute_metrics
 from repro.resilience import faults
 from repro.store import ArtifactStore, options_digest
 from repro.synth.compiler import SyntheticBinary
 from repro.synth.profiles import WildProfile
-from repro.x86.disassembler import DECODE_STATS
 
 
 # ----------------------------------------------------------------------
@@ -74,8 +78,9 @@ def _process_invoke(payload: tuple[Callable[..., Any], int, tuple]) -> tuple[Any
 
     ``DECODE_STATS`` is process-local, so decode work done in a worker is
     invisible to the parent.  Shipping the per-task delta back lets the
-    parent fold every worker's decode count into its own counter, making
-    process-backend readings exact instead of "compare serial passes".
+    parent fold every worker's decode count into its own counter
+    (:func:`~repro.eval.executor.fold_decodes`), making process-backend
+    readings exact instead of "compare serial passes".
     """
     fn, index, fn_args = payload
     assert _WORKER_CORPUS is not None, "process pool initializer did not run"
@@ -94,9 +99,7 @@ def _process_invoke(payload: tuple[Callable[..., Any], int, tuple]) -> tuple[Any
     if context is None:
         context = AnalysisContext(getattr(binary, "image", binary))
         _WORKER_CONTEXTS[index] = context
-    before = DECODE_STATS.raw_decodes
-    value = fn(binary, context, *fn_args)
-    return value, DECODE_STATS.raw_decodes - before
+    return counting_decodes(fn, binary, context, *fn_args)
 
 
 def _detect_binary_metrics(
@@ -305,7 +308,7 @@ class CorpusEvaluator:
             )
             values = []
             for value, decode_delta in wrapped:
-                DECODE_STATS.raw_decodes += decode_delta
+                fold_decodes(decode_delta)
                 values.append(value)
             return values
         return parallel_map(

@@ -12,7 +12,7 @@ Two halves, consumed by the real execution paths (service, executor, store):
   its seed.
 * :mod:`repro.resilience.policy` — the recovery policies the injected
   faults exercise: :class:`RetryPolicy` (bounded attempts, deterministic
-  exponential backoff), :func:`call_with_timeout` (per-entry detector
+  exponential backoff), :class:`DetectorTimeout` (per-entry detector
   timeouts), :class:`CircuitBreaker` (quarantine a repeatedly-crashing
   detector) and :class:`ResilienceConfig` (the service-facing bundle).
 
@@ -35,7 +35,6 @@ from repro.resilience.policy import (
     DetectorTimeout,
     ResilienceConfig,
     RetryPolicy,
-    call_with_timeout,
     failure_record,
 )
 
@@ -51,6 +50,5 @@ __all__ = [
     "RetryPolicy",
     "TornWrite",
     "WorkerKilled",
-    "call_with_timeout",
     "failure_record",
 ]

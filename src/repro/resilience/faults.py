@@ -20,9 +20,10 @@ retried operation eventually succeed).
 ========================  ====================================================
 ``detect``                :meth:`repro.service.DetectionService._detect_unit`,
                           around one detector invocation (key: digest:detector)
-``worker``                :class:`repro.eval.executor.ShardedWorkerPool` drain
-                          loop, before a task starts (key: shard index) —
-                          ``kill`` here models a dying worker thread
+``worker``                :class:`repro.eval.executor.ShardedWorkerPool` shard
+                          thread's drain loop, before a task starts (key:
+                          shard index) — ``kill`` here models a dying shard
+                          thread
 ``pool.child``            the process-pool task wrapper
                           (:func:`repro.eval.runner._process_invoke`) — ``kill``
                           SIGKILLs the child, breaking the pool

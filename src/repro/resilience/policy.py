@@ -7,11 +7,10 @@ layers absorb those breaks (and the real-world failures they model).
 * :class:`RetryPolicy` — bounded attempts with deterministic exponential
   backoff and an exception classifier (``LockTimeout`` and transient I/O
   errors retry; a deliberate :class:`DetectorTimeout` does not).
-* :func:`call_with_timeout` — run a callable with a wall-clock budget;
-  on expiry raise :class:`DetectorTimeout` and let the caller degrade
-  gracefully (the helper thread is a daemon and is abandoned — Python
-  cannot safely kill a thread, so a wedged detector leaks one thread,
-  never the batch).
+* :class:`DetectorTimeout` — what a detection that overruns its
+  ``detector_timeout`` raises; the service's worker process running it
+  is killed and replaced (:meth:`repro.eval.executor.ShardedWorkerPool.
+  call`), so a wedged detector costs one process restart, never the batch.
 * :class:`CircuitBreaker` — quarantine a repeatedly-failing detector:
   after ``threshold`` *consecutive* failures the circuit opens and calls
   fail fast with :class:`CircuitOpen`; after ``reset_after`` seconds one
@@ -106,37 +105,6 @@ class RetryPolicy:
         raise last  # pragma: no cover - unreachable (loop always returns/raises)
 
 
-def call_with_timeout(fn: Callable[[], T], timeout: float, *, label: str = "call") -> T:
-    """Run ``fn`` with a wall-clock budget; raise :class:`DetectorTimeout` on expiry.
-
-    ``timeout <= 0`` means no budget — ``fn`` runs inline with zero
-    overhead.  Otherwise ``fn`` runs on a daemon helper thread; if the
-    budget expires the helper is abandoned (it cannot be killed) and the
-    caller degrades.  The helper publishes its outcome before setting the
-    completion event, so a non-timed-out result is never torn.
-    """
-    if timeout <= 0:
-        return fn()
-    done = threading.Event()
-    outcome: list[Any] = [None, None]  # [value, error]
-
-    def runner() -> None:
-        try:
-            outcome[0] = fn()
-        except BaseException as error:  # noqa: BLE001 - re-raised in caller
-            outcome[1] = error
-        finally:
-            done.set()
-
-    thread = threading.Thread(target=runner, name=f"timeout:{label}", daemon=True)
-    thread.start()
-    if not done.wait(timeout):
-        raise DetectorTimeout(f"{label} exceeded {timeout:g}s budget")
-    if outcome[1] is not None:
-        raise outcome[1]
-    return outcome[0]
-
-
 class CircuitBreaker:
     """Consecutive-failure circuit breaker for one detector.
 
@@ -211,7 +179,7 @@ class ResilienceConfig:
     detect_attempts: int = 3
     #: attempts per store read/write (store faults degrade, never fail the entry)
     store_attempts: int = 3
-    #: seconds per detector invocation; 0 disables the timeout thread entirely
+    #: seconds per detector invocation; 0 means no budget
     detector_timeout: float = 0.0
     #: consecutive failures before a detector's circuit opens; 0 disables
     breaker_threshold: int = 0

@@ -11,6 +11,10 @@ serves detection requests:
 * incoming binaries are sharded across workers by content digest, so
   duplicate submissions serialise behind each other and dedupe against the
   store (or the in-memory memo) before any detector runs;
+* each detection runs in its shard's worker process — parse, analysis
+  context and detector, nothing kept afterwards — so ``workers`` shards
+  use ``workers`` cores, while admission, dedupe, retries, breakers,
+  metrics and every counter stay in this process;
 * jobs move through queued → running → done states with per-job progress,
   and admission is bounded: a full queue either blocks the submitter or
   rejects the batch (:class:`ServiceSaturated`), per the configured
@@ -48,10 +52,15 @@ from repro.resilience.policy import (
     CircuitBreaker,
     CircuitOpen,
     ResilienceConfig,
-    call_with_timeout,
     failure_record,
 )
-from repro.store import ArtifactStore, blob_digest, digest_of_binary, options_digest
+from repro.store import (
+    ArtifactStore,
+    blob_digest,
+    digest_of_binary,
+    elf_bytes_of,
+    options_digest,
+)
 
 
 class ServiceSaturated(RuntimeError):
@@ -217,12 +226,34 @@ class _Entry:
     ground_truth: Any = None
     #: admission-time failure (unreadable file); detectors never run
     error: str | None = None
-    image: BinaryImage | None = None
-    context: AnalysisContext | None = field(default=None, repr=False)
+
+
+def _detect_in_worker(name: str, data: bytes, detector: Any) -> dict[str, Any]:
+    """One detection, run in a shard's worker process.
+
+    Parses ``data``, builds a fresh :class:`AnalysisContext` and runs the
+    detector; nothing outlives the call, so a worker's memory stays flat.
+    Returns the store record's detection fields — what the parent needs,
+    not the (large) :class:`~repro.core.results.DetectionResult`.
+    """
+    image = BinaryImage.from_bytes(data, name=name)
+    detection = detector.detect(image, AnalysisContext(image))
+    return {
+        "function_starts": sorted(detection.function_starts),
+        "stages": {
+            stage: sorted(added) for stage, added in detection.added_by_stage.items()
+        },
+        "removed_by_stage": {
+            stage: sorted(gone) for stage, gone in detection.removed_by_stage.items()
+        },
+        "merged_parts": {
+            str(part): parent for part, parent in detection.merged_parts.items()
+        },
+    }
 
 
 class DetectionService:
-    """A long-lived function-detection service over a shared worker pool.
+    """A long-lived function-detection service over a pool of worker processes.
 
     Wraps the substrate grown by the evaluation stack — detectors resolved
     by name through :mod:`repro.core.registry`, results cached by content
@@ -244,6 +275,16 @@ class DetectionService:
     checks the store (and an in-memory memo) before detecting.
     :attr:`detector_runs` counts the invocations that actually happened, so
     a warm batch can assert it did none.
+
+    Each ``workers`` shard runs its detections in its own worker process
+    (started on the shard's first detection), so a detector instance must
+    pickle; one that does not fails its units with an entry-scoped error.
+    A worker process that dies mid-detection fails that attempt with a
+    retryable :class:`~repro.eval.executor.WorkerDied`, and a
+    ``detector_timeout`` kills the process; either way the shard starts a
+    fresh one (``worker_restarts``).  Everything else — admission, the
+    memo and the store, retries, breakers, metrics, counters — stays in
+    this process.
 
     The service is built to stay up: its in-process state is bounded.
     Completed job handles are retained for :meth:`job` lookups only up to
@@ -305,10 +346,10 @@ class DetectionService:
 
     # -- lifecycle ------------------------------------------------------
     def close(self, *, wait: bool = True) -> None:
-        """Refuse new submissions and (with ``wait``) drain in-flight jobs."""
+        """Refuse new submissions and (with ``wait``) drain in-flight jobs
+        and stop the worker processes.  Safe to call again, e.g. with
+        ``wait`` after an earlier ``close(wait=False)``."""
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
             self._admission.notify_all()
         self._pool.close(wait=wait)
@@ -435,8 +476,9 @@ class DetectionService:
         """Normalise a path or corpus entry into an admitted :class:`_Entry`.
 
         Bytes are read (and digested) at admission so sharding and dedupe
-        key on content before any worker touches the entry; an unreadable
-        path becomes an error entry whose units fail without running."""
+        key on content before any worker touches the entry; they are what
+        each detection ships to a worker process.  An unreadable path
+        becomes an error entry whose units fail without running."""
         if isinstance(item, (str, Path)):
             path = str(item)
             try:
@@ -445,14 +487,14 @@ class DetectionService:
                 return _Entry(name=path, digest="", error=f"{type(error).__name__}: {error}")
             return _Entry(name=path, digest=blob_digest(data), data=data)
         try:
-            # an in-memory corpus entry: identity is the serialized ELF blob
-            # (digest memoized on the object, so resubmission is digest-free)
+            # an in-memory corpus entry: identity is the serialized ELF blob,
+            # serialized once here (its digest is memoized on the object)
+            data = elf_bytes_of(item)
             return _Entry(
                 name=item.name,
-                digest=digest_of_binary(item),
-                data=b"",
+                digest=digest_of_binary(item, data),
+                data=data,
                 ground_truth=getattr(item, "ground_truth", None),
-                image=item.image,
             )
         except Exception as error:  # noqa: BLE001 - admit as an error entry
             return _Entry(
@@ -465,11 +507,11 @@ class DetectionService:
     def _run_entry(self, job: JobHandle, entry: _Entry, specs: list[Any]) -> None:
         """Run every requested detector over one entry (on its shard thread).
 
-        The entry's image is parsed and its :class:`AnalysisContext` built
-        at most once, after the first cache miss — an entry fully served
-        from the cache never parses at all.  Failures (admission errors,
-        parse errors, a detector raising) are folded into that unit's
-        :class:`EntryResult`; the job always completes all of its units.
+        Each cache miss ships the entry's bytes to the shard's worker
+        process, which parses them — an entry fully served from the cache
+        never parses at all.  Failures (admission errors, parse errors, a
+        detector raising) are folded into that unit's :class:`EntryResult`;
+        the job always completes all of its units.
         """
         job._mark_running()
         try:
@@ -491,7 +533,6 @@ class DetectionService:
                 result.seconds = time.perf_counter() - started
                 job._complete(result)
         finally:
-            entry.context = None  # decode caches die with the entry
             with self._admission:
                 self._pending_entries -= 1
                 self._admission.notify_all()
@@ -517,8 +558,9 @@ class DetectionService:
 
         Failure handling is layered: the ``detect`` fault site and real
         detector errors go through :class:`RetryPolicy` (transient errors
-        retry with backoff); a per-unit ``detector_timeout`` turns a wedged
-        detector into a degraded unit; a per-detector circuit breaker fails
+        retry with backoff, as does a worker process dying mid-detection); a
+        per-unit ``detector_timeout`` kills the wedged worker process and
+        degrades the unit; a per-detector circuit breaker fails
         repeat offenders fast.  A unit that exhausts its policy fails *only
         itself*, with a structured ``failure`` record.  Store reads/writes
         have their own retry budget and **degrade without failing the
@@ -539,20 +581,20 @@ class DetectionService:
                 with self._lock:
                     self.degraded_units += 1
                 return
-            if entry.image is None:
-                entry.image = BinaryImage.from_bytes(entry.data, name=entry.name)
-            if entry.context is None:
-                entry.context = AnalysisContext(entry.image)
             attempts = [0]
 
-            def invoke() -> Any:
+            def invoke() -> dict[str, Any]:
                 attempts[0] += 1
                 with self._lock:
                     self.detector_runs += 1
                 faults.fire("detect", f"{entry.digest}:{detector_name}")
-                return call_with_timeout(
-                    lambda: detector.detect(entry.image, entry.context),
-                    self.resilience.detector_timeout,
+                return self._pool.call(
+                    entry.digest,
+                    _detect_in_worker,
+                    entry.name,
+                    entry.data,
+                    detector,
+                    timeout=self.resilience.detector_timeout,
                     label=f"{detector_name}({entry.name})",
                 )
 
@@ -575,26 +617,10 @@ class DetectionService:
                 return
             if breaker is not None:
                 breaker.record_success()
-            starts = tuple(sorted(detection.function_starts))
+            starts = tuple(detection["function_starts"])
             self._memoize(memo_key, starts)
             if self.store is not None:
-                record = {
-                    "path": entry.name,
-                    "detector": detector_name,
-                    "function_starts": list(starts),
-                    "stages": {
-                        name: sorted(added)
-                        for name, added in detection.added_by_stage.items()
-                    },
-                    "removed_by_stage": {
-                        name: sorted(gone)
-                        for name, gone in detection.removed_by_stage.items()
-                    },
-                    "merged_parts": {
-                        str(part): parent
-                        for part, parent in detection.merged_parts.items()
-                    },
-                }
+                record = {"path": entry.name, "detector": detector_name, **detection}
                 key = self.store.detection_key(entry.digest, detector_name, opts)
                 try:
                     self._store_policy.run(

@@ -88,18 +88,19 @@ def elf_bytes_of(binary: "SyntheticBinary") -> bytes:
     return write_elf(binary.image.elf)
 
 
-def digest_of_binary(binary: "SyntheticBinary") -> str:
+def digest_of_binary(binary: "SyntheticBinary", data: bytes | None = None) -> str:
     """The content digest of ``binary``'s serialized ELF image, memoized.
 
     Computed once per binary object and cached on it (the same attribute
     :meth:`ArtifactStore.binary_digest` and the corpus loader use), so
     repeated submissions of one in-memory binary never re-serialize it —
-    with or without a store.
+    with or without a store.  ``data`` is that image when the caller has
+    already serialized it.
     """
     cached = getattr(binary, _DIGEST_ATTRIBUTE, None)
     if cached is not None:
         return cached
-    digest = blob_digest(elf_bytes_of(binary))
+    digest = blob_digest(elf_bytes_of(binary) if data is None else data)
     setattr(binary, _DIGEST_ATTRIBUTE, digest)
     return digest
 

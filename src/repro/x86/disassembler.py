@@ -55,8 +55,9 @@ class _DecodeStats:
 #: benchmark-grade measure of how much decode work a cache actually saved.
 #: The increment is unsynchronized, so readings taken around multi-threaded
 #: (``jobs > 1``) regions are approximate; the process-pool backend of
-#: :class:`repro.eval.runner.CorpusEvaluator` aggregates each worker's count
-#: back into the parent, so process-backend readings are exact.
+#: :class:`repro.eval.runner.CorpusEvaluator` and the detection service's
+#: worker processes fold each child's count back into the parent
+#: (:func:`repro.eval.executor.fold_decodes`), so their readings are exact.
 DECODE_STATS = _DecodeStats()
 
 _GROUP1_MNEMONICS = {0: "add", 1: "or", 2: "adc", 3: "sbb", 4: "and", 5: "sub", 6: "xor", 7: "cmp"}

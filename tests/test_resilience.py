@@ -4,7 +4,9 @@ consume them (worker pool, process pool, store, detection service)."""
 
 from __future__ import annotations
 
+import operator
 import os
+import signal
 import threading
 import time
 from pathlib import Path
@@ -21,7 +23,6 @@ from repro.resilience.policy import (
     DetectorTimeout,
     ResilienceConfig,
     RetryPolicy,
-    call_with_timeout,
 )
 from repro.service import DetectionService
 from repro.store.locking import FileLock, LockTimeout
@@ -182,26 +183,48 @@ class TestRetryPolicy:
         ]
 
 
+def _nap(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
+
+
+def _raise_value_error(message: str) -> None:
+    raise ValueError(message)
+
+
 class TestTimeout:
-    def test_inline_when_disabled(self):
-        thread = threading.current_thread().name
-        assert call_with_timeout(lambda: threading.current_thread().name, 0) == thread
+    """The budget of :meth:`ShardedWorkerPool.call`, which runs the call in
+    the shard's worker process and kills that process on expiry."""
+
+    def test_no_budget_when_disabled(self):
+        with ShardedWorkerPool(1) as pool:
+            assert pool.call(0, _nap, 0.2, timeout=0) == 0.2
+        assert pool.worker_restarts == 0
 
     def test_fast_call_returns_value(self):
-        assert call_with_timeout(lambda: 41 + 1, 5.0) == 42
+        with ShardedWorkerPool(1) as pool:
+            assert pool.call(0, operator.add, 41, 1, timeout=5.0) == 42
+            assert pool.call(0, os.getpid, timeout=5.0) != os.getpid()
 
     def test_errors_propagate(self):
-        def boom():
-            raise ValueError("from inside")
-
-        with pytest.raises(ValueError, match="from inside"):
-            call_with_timeout(boom, 5.0)
+        with ShardedWorkerPool(1) as pool:
+            worker = pool.call(0, os.getpid)
+            with pytest.raises(ValueError, match="from inside"):
+                pool.call(0, _raise_value_error, "from inside", timeout=5.0)
+            # a raising call leaves its worker process in service
+            assert pool.call(0, os.getpid) == worker
+        assert pool.worker_restarts == 0
 
     def test_expiry_raises_detector_timeout(self):
-        start = time.monotonic()
-        with pytest.raises(DetectorTimeout):
-            call_with_timeout(lambda: time.sleep(5), 0.05, label="wedged")
-        assert time.monotonic() - start < 2.0
+        with ShardedWorkerPool(1) as pool:
+            worker = pool.call(0, os.getpid)  # started outside the timing
+            start = time.monotonic()
+            with pytest.raises(DetectorTimeout, match="wedged"):
+                pool.call(0, time.sleep, 5, timeout=0.05, label="wedged")
+            assert time.monotonic() - start < 2.0
+            # the wedged process was killed; the next call gets a fresh one
+            assert pool.worker_restarts == 1
+            assert pool.call(0, os.getpid) != worker
 
 
 class TestCircuitBreaker:
@@ -381,11 +404,40 @@ class _BrokenDetector:
     """Unconditionally raises a non-retryable error."""
 
     name = "broken-stub"
-    calls = 0
 
     def detect(self, image, context=None):
-        type(self).calls += 1
         raise RuntimeError("deterministic detector bug")
+
+
+class _KillOnceDetector:
+    """SIGKILLs its own worker process the first time it sees the poisoned
+    binary; a marker file makes "first" hold across processes."""
+
+    name = "kill-once-stub"
+
+    def __init__(self, poison: str, marker: str):
+        self.poison = poison
+        self.marker = marker
+
+    def detect(self, image, context=None):
+        if image.name == self.poison:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                pass
+            else:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return DetectionResult(binary_name=image.name)
+
+
+class _UnpicklableDetector:
+    name = "unpicklable-stub"
+
+    def __init__(self):
+        self.hook = lambda: None
+
+    def detect(self, image, context=None):
+        return DetectionResult(binary_name=image.name)
 
 
 class TestServiceResilience:
@@ -430,18 +482,27 @@ class TestServiceResilience:
         poison = entries[1].name
         resilience = ResilienceConfig(detector_timeout=0.2, detect_attempts=1)
         with DetectionService(workers=2, resilience=resilience) as service:
+            # start the entries' worker processes before the timed batch
+            # (under another name, so the batch does not dedupe against it)
+            warmup = _SleepyDetector("no such binary")
+            warmup.name = "sleepy-warmup"
+            assert all(r.ok for r in service.submit(entries, detectors=[warmup]).results())
             detector = _SleepyDetector(poison, seconds=2.0)
             results = list(service.submit(entries, detectors=[detector]).results())
+            restarts = service.stats()["resilience"]["worker_restarts"]
         by_name = {r.name: r for r in results}
         assert not by_name[poison].ok
         assert by_name[poison].failure["kind"] == "DetectorTimeout"
         assert by_name[poison].failure["retryable"] is False
         for entry in (entries[0], entries[2]):
             assert by_name[entry.name].ok
+        # the wedged worker process was killed at the budget, not waited
+        # out for the detector's 2 s sleep, and replaced
+        assert by_name[poison].seconds < 1.0
+        assert restarts == 1
 
     def test_circuit_breaker_quarantines_a_crashing_detector(self, small_corpus):
         entries = small_corpus[:5]
-        _BrokenDetector.calls = 0
         resilience = ResilienceConfig(
             detect_attempts=1, breaker_threshold=2, breaker_reset_after=300.0
         )
@@ -452,7 +513,7 @@ class TestServiceResilience:
             stats = service.stats()
         assert all(not r.ok for r in results)
         # two real failures trip the breaker; the rest fail fast, unrun
-        assert _BrokenDetector.calls == 2
+        assert stats["detector_runs"] == 2
         sites = [r.failure["site"] for r in results]
         assert sites == ["detect", "detect", "breaker", "breaker", "breaker"]
         assert stats["resilience"]["breaker_trips"] == 1
@@ -496,3 +557,32 @@ class TestServiceResilience:
         assert all(r.ok for r in results)
         assert {(r.name, r.detector): r.function_starts for r in results} == clean
         assert stats["resilience"]["worker_restarts"] == kills
+
+    def test_killed_worker_process_is_retried_on_a_fresh_one(self, small_corpus, tmp_path):
+        entries = small_corpus[:4]
+        marker = tmp_path / "killed"
+        detector = _KillOnceDetector(entries[1].name, str(marker))
+        with DetectionService(workers=2) as service:
+            handle = service.submit(entries, detectors=[detector])
+            results = list(handle.results())
+            stats = service.stats()
+        assert marker.exists(), "the poisoned detection must have killed its worker"
+        assert len(results) == len(entries)
+        assert all(r.ok for r in results)
+        assert stats["resilience"]["worker_restarts"] == 1
+        assert stats["resilience"]["detector_retries"] == 1
+        assert stats["detector_runs"] == len(entries) + 1
+
+    def test_unpicklable_detector_fails_only_its_units(self, small_corpus):
+        entries = small_corpus[:2]
+        with DetectionService(workers=1) as service:
+            results = list(
+                service.submit(entries, detectors=[_UnpicklableDetector(), "fetch"]).results()
+            )
+            stats = service.stats()
+        by_detector: dict[str, list] = {}
+        for result in results:
+            by_detector.setdefault(result.detector, []).append(result)
+        assert all(not r.ok and "pickle" in r.error for r in by_detector["unpicklable-stub"])
+        assert all(r.ok and r.function_starts for r in by_detector["fetch"])
+        assert stats["resilience"]["worker_restarts"] == 0

@@ -24,16 +24,20 @@ from __future__ import annotations
 
 import io
 import json
+import multiprocessing
 import os
+import select
 import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from process_gate import ProcessGate
 
 from repro.core.registry import register_detector
 from repro.core.results import DetectionResult
@@ -48,9 +52,8 @@ from repro.service import (
 )
 from repro.store import ArtifactStore
 
-#: opened by default; a test that wants an in-flight job clears it
-_GATE = threading.Event()
-_GATE.set()
+#: open by default; a test that wants an in-flight job clears it
+_GATE = ProcessGate(Path(tempfile.gettempdir()) / f"repro-test-gate-{os.getpid()}")
 
 
 @register_detector(
@@ -60,8 +63,13 @@ _GATE.set()
     description="test-only detector that blocks until the module gate opens",
 )
 class GatedStubDetector:
+    def __init__(self):
+        # created in the test process; the gate travels with the instance
+        # into the worker process (whose own module-level gate is unused)
+        self.gate = _GATE
+
     def detect(self, image, context=None):
-        _GATE.wait(timeout=60)
+        self.gate.wait()
         return DetectionResult(binary_name=image.name)
 
 
@@ -592,6 +600,63 @@ class TestDrain:
                 assert not client._reader.is_alive()
         assert elapsed < 1.0
 
+    def test_shutdown_and_close_return_promptly_and_reap_workers(self, elf_dir):
+        before = set(multiprocessing.active_children())
+        service = DetectionService(workers=2)
+        server = DetectionServer(service)
+        server.start()
+        with ServiceClient.connect(*server.address, timeout=60) as client:
+            job = client.submit(elf_dir)
+            assert len(list(client.results(job, timeout=60))) == len(elf_dir)
+        workers = set(multiprocessing.active_children()) - before
+        assert workers, "the detections must have run in worker processes"
+        began = time.monotonic()
+        server.shutdown(drain=True, timeout=30)
+        service.close()
+        assert time.monotonic() - began < 5.0
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_cli_server_sigint_leaves_no_descendant_processes(self, elf_dir):
+        """``serve --tcp --workers 2``: after SIGINT the server exits 0 and
+        every process it started — worker processes, the fork server, the
+        resource tracker — exits too.  pidfds make the wait event-driven."""
+        source_root = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source_root), env.get("PYTHONPATH", "")])
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--tcp", "127.0.0.1:0", "--workers", "2", "--no-store"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        pidfds: list[int] = []
+        try:
+            banner = server.stdout.readline().strip()
+            assert banner.startswith("listening on "), banner
+            host, port = banner.rsplit(" ", 1)[1].rsplit(":", 1)
+            with ServiceClient.connect(host, int(port), timeout=60) as client:
+                job = client.submit(elf_dir)
+                assert len(list(client.results(job, timeout=60))) == len(elf_dir)
+            descendants = _descendants(server.pid)
+            # the resource tracker and the fork server, and its workers
+            assert len(descendants) >= 3, descendants
+            pidfds = [os.pidfd_open(pid) for pid in descendants]
+            server.send_signal(signal.SIGINT)
+            assert server.wait(timeout=30) == 0
+            pending = set(pidfds)
+            deadline = time.monotonic() + 10
+            while pending and time.monotonic() < deadline:
+                ready, _, _ = select.select(list(pending), [], [], deadline - time.monotonic())
+                pending.difference_update(ready)
+            assert not pending, "a process the server started outlived it"
+        finally:
+            for fd in pidfds:
+                os.close(fd)
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+
     def test_cli_server_drains_on_sigint_even_if_started_ignoring_it(self):
         """A background job of a non-interactive shell starts with SIGINT
         ignored; ``serve --tcp`` must still drain and exit 0 on SIGINT."""
@@ -615,6 +680,27 @@ class TestDrain:
             if server.poll() is None:
                 server.kill()
                 server.wait(timeout=30)
+
+
+def _descendants(pid: int) -> list[int]:
+    """Every live process below ``pid`` (children, grandchildren, ...)."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as stat:
+                parent = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # exited while we looked
+        children.setdefault(parent, []).append(int(entry))
+    found: list[int] = []
+    frontier = [pid]
+    while frontier:
+        below = children.get(frontier.pop(), [])
+        found.extend(below)
+        frontier.extend(below)
+    return found
 
 
 # ----------------------------------------------------------------------

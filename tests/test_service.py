@@ -17,6 +17,7 @@ import threading
 import time
 
 import pytest
+from process_gate import ProcessGate
 
 from repro.cli import main
 from repro.core.registry import create_detectors
@@ -47,18 +48,28 @@ def elf_dir(tmp_path_factory, small_corpus):
 
 
 class SlowDetector:
-    """A gated stub detector: blocks until released, then reports nothing."""
+    """A gated stub detector: blocks until released, then reports nothing.
+
+    It runs in a service worker process, so its gate is a
+    :class:`ProcessGate`, which the test opens from this process."""
 
     name = "slow-stub"
 
-    def __init__(self, gate: threading.Event):
+    def __init__(self, gate: ProcessGate):
         self.gate = gate
-        self.calls = 0
 
     def detect(self, image, context=None):
-        self.gate.wait(timeout=30)
-        self.calls += 1
+        self.gate.wait()
         return DetectionResult(binary_name=image.name)
+
+
+@pytest.fixture()
+def gate(tmp_path):
+    """A closed :class:`ProcessGate`, opened again at teardown."""
+    gate = ProcessGate(tmp_path / "gate")
+    gate.clear()
+    yield gate
+    gate.set()
 
 
 class ExplodingDetector:
@@ -225,8 +236,7 @@ class TestFailurePaths:
 # ----------------------------------------------------------------------
 
 class TestBackpressure:
-    def test_reject_policy_refuses_overflowing_batch(self, elf_dir):
-        gate = threading.Event()
+    def test_reject_policy_refuses_overflowing_batch(self, elf_dir, gate):
         service = DetectionService(workers=1, queue_limit=2, backpressure="reject")
         try:
             first = service.submit(elf_dir[:2], detectors=[SlowDetector(gate)])
@@ -235,6 +245,7 @@ class TestBackpressure:
                 service.submit(elf_dir[:1])
             gate.set()
             assert first.wait(timeout=30)
+            assert service.stats()["detector_runs"] == 2
             # capacity freed: the same submission is admitted now
             second = service.submit(elf_dir[:1])
             assert second.wait(timeout=30)
@@ -242,8 +253,7 @@ class TestBackpressure:
             gate.set()
             service.close()
 
-    def test_reject_never_partially_enqueues(self, elf_dir):
-        gate = threading.Event()
+    def test_reject_never_partially_enqueues(self, elf_dir, gate):
         service = DetectionService(workers=1, queue_limit=1, backpressure="reject")
         try:
             service.submit(elf_dir[:1], detectors=[SlowDetector(gate)])
@@ -262,8 +272,7 @@ class TestBackpressure:
             assert handle.wait(timeout=60)
             assert all(result.ok for result in handle.results())
 
-    def test_block_policy_waits_for_capacity(self, elf_dir):
-        gate = threading.Event()
+    def test_block_policy_waits_for_capacity(self, elf_dir, gate):
         service = DetectionService(workers=1, queue_limit=1, backpressure="block")
         try:
             service.submit(elf_dir[:1], detectors=[SlowDetector(gate)])
@@ -288,8 +297,7 @@ class TestBackpressure:
         with pytest.raises(ValueError, match="backpressure"):
             DetectionService(workers=1, backpressure="drop")
 
-    def test_rejected_jobs_are_not_retained(self, elf_dir):
-        gate = threading.Event()
+    def test_rejected_jobs_are_not_retained(self, elf_dir, gate):
         service = DetectionService(workers=1, queue_limit=1, backpressure="reject")
         try:
             service.submit(elf_dir[:1], detectors=[SlowDetector(gate)])
@@ -304,8 +312,7 @@ class TestBackpressure:
             gate.set()
             service.close()
 
-    def test_close_during_blocked_submit_completes_job_with_errors(self, elf_dir):
-        gate = threading.Event()
+    def test_close_during_blocked_submit_completes_job_with_errors(self, elf_dir, gate):
         service = DetectionService(workers=1, queue_limit=1, backpressure="block")
         outcome: list = []
 
@@ -331,6 +338,39 @@ class TestBackpressure:
         failed = [result for result in handle.results() if not result.ok]
         assert failed and all("closed" in result.error for result in failed)
         assert len(failed) == 2
+        service.close()  # joins what close(wait=False) left running
+
+
+# ----------------------------------------------------------------------
+# Worker processes: decode accounting
+# ----------------------------------------------------------------------
+
+class TestWorkerProcesses:
+    # 5: more shard threads folding deltas at once than most hosts have cores
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_worker_decodes_fold_back_exactly(self, elf_dir, workers):
+        """Detections run in worker processes, yet the parent's
+        ``DECODE_STATS`` moves by exactly what running the same binaries
+        serially in this process does."""
+        from pathlib import Path
+
+        from repro.core.pipeline import FetchDetector
+        from repro.elf.image import BinaryImage
+        from repro.x86.disassembler import DECODE_STATS
+
+        before = DECODE_STATS.raw_decodes
+        for path in elf_dir:
+            FetchDetector().detect(BinaryImage.from_bytes(Path(path).read_bytes(), name=path))
+        serial = DECODE_STATS.raw_decodes - before
+        assert serial > 0
+
+        with DetectionService(workers=workers) as service:
+            before = DECODE_STATS.raw_decodes
+            results = list(service.submit(elf_dir).results())
+            moved = DECODE_STATS.raw_decodes - before
+        assert all(result.ok for result in results)
+        assert service.detector_runs == len(elf_dir)
+        assert moved == serial
 
 
 # ----------------------------------------------------------------------
