@@ -19,7 +19,7 @@ entry points:
 * :mod:`repro.store` — the content-addressed artifact store that makes warm
   re-runs of corpora, detector results and scenario matrices near-instant.
 * :mod:`repro.service` — the persistent detection service: batch submission
-  over a long-lived, digest-sharded worker pool with store-backed dedupe.
+  over a long-lived, load-placed worker pool with store-backed dedupe.
 
 See ``docs/ARCHITECTURE.md`` for the module-by-module guide and
 ``docs/EXTENDING.md`` for worked extension examples.

@@ -14,9 +14,11 @@ Two primitives live here:
   and only the unfinished items are retried, up to ``max_respawns`` times.
 * :class:`ShardedWorkerPool` — the long-lived counterpart used by
   :class:`repro.service.DetectionService`: shard threads that persist
-  across batches, each draining its own FIFO queue, with a deterministic
-  task-key → shard mapping so all work for one key (a binary content
-  digest) lands on one shard in submission order.  Each shard also owns
+  across batches, each draining its own FIFO queue.  A task goes to the
+  shard with the fewest unfinished tasks, unless its key (a binary
+  content digest) still has one queued or running: then it follows that
+  task, so all in-flight work for one key runs on one shard in
+  submission order.  Each shard also owns
   one worker *process*, started lazily on first use, that runs the
   shard's CPU-bound calls (:meth:`ShardedWorkerPool.call`) outside the
   parent's GIL.  Both halves are *supervised*: a shard thread that dies
@@ -46,7 +48,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Hashable, Iterable, TypeVar
 
 from repro.resilience import faults
 from repro.resilience.policy import DetectorTimeout
@@ -358,14 +360,18 @@ class ShardedWorkerPool:
 
     :func:`parallel_map` spins its pool up and down per call, which is right
     for one-shot batch evaluation but wrong for a process that stays up: a
-    persistent service wants warm workers and a *stable* routing of related
-    work.  Tasks are submitted with a shard key (any int, or a hex string
-    such as a content digest); :meth:`shard_of` maps the key onto one of the
-    ``workers`` shards, so every task sharing a key executes on the same
-    shard thread in submission order.  The detection service shards by
-    binary content digest, which serialises duplicate binaries behind each
-    other — by the time the second copy runs, the first has already
-    populated the cache.
+    persistent service wants warm workers.  Tasks are submitted with a
+    shard key (any hashable, such as a content digest) and *placed by
+    load*: while the key has an unfinished (queued or running) task, a new
+    task follows it onto that shard, so every in-flight task sharing a key
+    executes on one shard thread in submission order; otherwise it goes to
+    the shard with the fewest unfinished tasks, ties to the lowest index.
+    A task stops counting once it returns, raises or its shard thread dies
+    mid-task; one requeued before it started still counts.  The detection
+    service keys by binary content digest, which serialises duplicate
+    binaries behind each other — by the time the second copy runs, the
+    first has already populated the cache — while distinct binaries never
+    wait behind each other for a busy shard when another one is idle.
 
     Tasks are bare callables that run on the shard thread, where admission,
     caching and bookkeeping stay in the parent process; a task moves its
@@ -409,8 +415,12 @@ class ShardedWorkerPool:
         self._closed = False
         self._lock = threading.Lock()
         self._queues: list[_ShardQueue] = [_ShardQueue() for _ in range(self.workers)]
-        #: per-shard task dequeued but not yet started (requeue on death)
+        #: per-shard ``(key, task)`` dequeued but not yet started (requeue on death)
         self._current: list[Any] = [None] * self.workers
+        #: per-shard count of unfinished (queued or running) tasks
+        self._load = [0] * self.workers
+        #: key -> ``[shard, unfinished tasks]`` while the key has any
+        self._placed: dict[Hashable, list[int]] = {}
         #: per-shard worker process (``None`` until the shard's first call)
         self._processes: list[_WorkerProcess | None] = [None] * self.workers
         self._process_locks = [threading.Lock() for _ in range(self.workers)]
@@ -426,28 +436,34 @@ class ShardedWorkerPool:
             target=self._run, args=(shard,), name=f"{self.name}{suffix}", daemon=True
         )
 
-    def shard_of(self, key: int | str) -> int:
-        """The shard index ``key`` routes to (stable for the pool's life)."""
-        if isinstance(key, str):
-            # hex digests route by their leading 64 bits; anything else by hash
-            try:
-                key = int(key[:16], 16)
-            except ValueError:
-                key = hash(key)
-        return key % self.workers
-
-    def submit(self, shard_key: int | str, task: Callable[[], Any]) -> int:
-        """Queue ``task`` on the shard owning ``shard_key``; returns the shard."""
+    def submit(self, shard_key: Hashable, task: Callable[[], Any]) -> int:
+        """Queue ``task`` on the shard ``shard_key``'s unfinished tasks run
+        on, or else on the least-loaded shard; returns the shard."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed ShardedWorkerPool")
-            shard = self.shard_of(shard_key)
-            self._queues[shard].put(task)
+            placed = self._placed.get(shard_key)
+            if placed is None:
+                shard = min(range(self.workers), key=self._load.__getitem__)
+                placed = self._placed[shard_key] = [shard, 0]
+            shard = placed[0]
+            placed[1] += 1
+            self._load[shard] += 1
+            self._queues[shard].put((shard_key, task))
         return shard
+
+    def _finish(self, shard_key: Hashable) -> None:
+        """One of ``shard_key``'s tasks returned, raised or died mid-task."""
+        with self._lock:
+            placed = self._placed[shard_key]
+            self._load[placed[0]] -= 1
+            placed[1] -= 1
+            if not placed[1]:
+                del self._placed[shard_key]
 
     def call(
         self,
-        shard_key: int | str,
+        shard_key: Hashable,
         fn: Callable[..., Any],
         *args: Any,
         timeout: float = 0.0,
@@ -455,8 +471,9 @@ class ShardedWorkerPool:
     ) -> Any:
         """Run ``fn(*args)`` in the worker process of ``shard_key``'s shard.
 
-        Meant for the shard's own tasks, which makes calls on one process
-        sequential (a lock keeps any other caller in line).  ``fn``, the
+        Meant for the shard's own tasks (a task's own key resolves to the
+        shard it runs on), which makes calls on one process sequential (a
+        lock keeps any other caller in line).  ``fn``, the
         arguments and the return value cross a pipe, so they must pickle;
         an exception ``fn`` raises is re-raised here.  ``timeout > 0``
         bounds the call's run time: on expiry the process is killed and
@@ -464,7 +481,11 @@ class ShardedWorkerPool:
         that dies mid-call raises :class:`WorkerDied`.  Either way the
         shard's next call starts a fresh process.
         """
-        shard = self.shard_of(shard_key)
+        with self._lock:
+            placed = self._placed.get(shard_key)
+        # a key with no unfinished task (a direct call) hashes, stably for
+        # the pool's life
+        shard = hash(shard_key) % self.workers if placed is None else placed[0]
         with self._process_locks[shard]:
             process = self._processes[shard]
             if process is None:
@@ -494,29 +515,34 @@ class ShardedWorkerPool:
     def _drain(self, shard: int) -> None:
         task_queue = self._queues[shard]
         while True:
-            task = task_queue.get()
-            if task is _STOP:
+            item = task_queue.get()
+            if item is _STOP:
                 return
             # Window where a worker death must requeue: the task is ours
             # but has not started.  The ``worker`` fault site fires inside
             # this window, so an injected kill exercises exactly the
-            # requeue path and can never double-execute the task.
-            self._current[shard] = task
-            faults.fire("worker", str(shard))
+            # requeue path and can never double-execute the task.  It is
+            # keyed by the task's key, not the shard it was placed on, so
+            # a plan's kill schedule does not depend on placement timing.
+            self._current[shard] = item
+            shard_key, task = item
+            faults.fire("worker", str(shard_key))
             try:
                 self._current[shard] = None
                 task()
             except Exception as error:  # tasks own their errors
                 self.task_errors.append(error)
                 del self.task_errors[: -self.MAX_TASK_ERRORS]
+            finally:
+                self._finish(shard_key)
 
     def _revive(self, shard: int) -> None:
         with self._lock:
             self.worker_restarts += 1
-            task = self._current[shard]
+            item = self._current[shard]
             self._current[shard] = None
-            if task is not None:
-                self._queues[shard].put_front(task)
+            if item is not None:
+                self._queues[shard].put_front(item)
                 self.requeued_tasks += 1
             thread = self._spawn(shard, generation=self.worker_restarts)
             # start before publishing: close() joins whatever _threads holds,

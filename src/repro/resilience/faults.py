@@ -22,8 +22,8 @@ retried operation eventually succeed).
                           around one detector invocation (key: digest:detector)
 ``worker``                :class:`repro.eval.executor.ShardedWorkerPool` shard
                           thread's drain loop, before a task starts (key:
-                          shard index) — ``kill`` here models a dying shard
-                          thread
+                          task key, not the shard it was placed on) —
+                          ``kill`` here models a dying shard thread
 ``pool.child``            the process-pool task wrapper
                           (:func:`repro.eval.runner._process_invoke`) — ``kill``
                           SIGKILLs the child, breaking the pool

@@ -2,8 +2,9 @@
 
 The service layer turns the repository from "a script that reproduces
 tables" into "a system that serves detection": a
-:class:`DetectionService` stays up across batches, shards incoming
-binaries over its worker pool by content digest, dedupes against the
+:class:`DetectionService` stays up across batches, places incoming
+binaries on the least-loaded shard of its worker pool (a duplicate
+follows its in-flight copy by content digest), dedupes against the
 :class:`~repro.store.ArtifactStore` before any detector runs, and streams
 per-entry results back through :class:`JobHandle`.  Typical wiring::
 

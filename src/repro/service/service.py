@@ -8,9 +8,12 @@ serves detection requests:
 * a long-lived :class:`~repro.eval.executor.ShardedWorkerPool` survives
   across batches, so worker start-up is paid once per service, not per
   request;
-* incoming binaries are sharded across workers by content digest, so
-  duplicate submissions serialise behind each other and dedupe against the
-  store (or the in-memory memo) before any detector runs;
+* incoming binaries are keyed by content digest: a binary goes to the
+  least-loaded shard unless a copy of it is still queued or running, in
+  which case it follows that copy, so duplicate submissions serialise
+  behind each other and dedupe against the store (or the in-memory memo)
+  before any detector runs, while distinct binaries never queue behind a
+  busy shard when another is idle;
 * each detection runs in its shard's worker process — parse, analysis
   context and detector, nothing kept afterwards — so ``workers`` shards
   use ``workers`` cores, while admission, dedupe, retries, breakers,
@@ -271,8 +274,9 @@ class DetectionService:
     ground truth, so their results include
     :class:`~repro.eval.metrics.BinaryMetrics`.  Identical binaries — within
     a batch, across batches, or across processes sharing the store — run a
-    detector at most once: entries shard by content digest, and each unit
-    checks the store (and an in-memory memo) before detecting.
+    detector at most once: an entry follows any unfinished copy of itself
+    (same content digest) onto that copy's shard, and each unit checks the
+    store (and an in-memory memo) before detecting.
     :attr:`detector_runs` counts the invocations that actually happened, so
     a warm batch can assert it did none.
 
@@ -475,7 +479,7 @@ class DetectionService:
     def _entry_for(self, item: Any) -> _Entry:
         """Normalise a path or corpus entry into an admitted :class:`_Entry`.
 
-        Bytes are read (and digested) at admission so sharding and dedupe
+        Bytes are read (and digested) at admission so placement and dedupe
         key on content before any worker touches the entry; they are what
         each detection ships to a worker process.  An unreadable path
         becomes an error entry whose units fail without running."""

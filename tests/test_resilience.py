@@ -264,6 +264,21 @@ class TestCircuitBreaker:
 # Supervised worker pool
 # ----------------------------------------------------------------------
 
+class _KillLog(faults.FaultInjector):
+    """A fault injector that records the key of every kill it injects."""
+
+    def __init__(self, plan: FaultPlan):
+        super().__init__(plan)
+        self.killed: list[str] = []
+
+    def fire(self, site, key="", raises=None):
+        try:
+            super().fire(site, key, raises)
+        except WorkerKilled:
+            self.killed.append(key)
+            raise
+
+
 class TestWorkerSupervision:
     def test_pool_survives_injected_kills_and_loses_nothing(self):
         with faults.injected("seed=11;worker:kill:rate=0.3") as injector:
@@ -285,6 +300,24 @@ class TestWorkerSupervision:
         assert sorted(done) == list(range(40))
         assert pool.worker_restarts == kills
         assert pool.requeued_tasks == kills
+
+    def test_kill_schedule_does_not_depend_on_the_shard_count(self):
+        """The ``worker`` site is keyed by the task's key, so one plan kills
+        the same tasks the same number of times on 1 shard as on 3."""
+        outcomes = []
+        for workers in (1, 3):
+            injector = _KillLog(FaultPlan.parse("seed=11;worker:kill:rate=0.3"))
+            with faults.injected(injector):
+                done: list[int] = []
+                pool = ShardedWorkerPool(workers)
+                for i in range(40):
+                    pool.submit(i, lambda i=i: done.append(i))
+                pool.close(wait=True)
+            assert sorted(done) == list(range(40))
+            assert pool.requeued_tasks == len(injector.killed)
+            outcomes.append((injector.injection_counts(), sorted(injector.killed)))
+        assert outcomes[0][0].get("worker:kill", 0) > 0
+        assert outcomes[0] == outcomes[1]
 
     def test_mid_task_death_restarts_but_does_not_requeue(self):
         ran = []

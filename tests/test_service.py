@@ -1,7 +1,7 @@
 """Tests for the persistent detection service.
 
 Covers the service checklist: batch submission with streamed results,
-digest-sharded dedupe (in-batch, cross-batch and cross-process through the
+digest-keyed dedupe (in-batch, cross-batch and cross-process through the
 store), job states and progress, the failure paths (a detector raising
 mid-batch fails only that binary's job entry; an unreadable file likewise),
 backpressure under both policies (``reject`` refuses the batch, ``block``
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -23,6 +24,8 @@ from repro.cli import main
 from repro.core.registry import create_detectors
 from repro.core.results import DetectionResult
 from repro.eval.executor import ShardedWorkerPool
+from repro.resilience import faults
+from repro.resilience.faults import WorkerKilled
 from repro.service import (
     DetectionService,
     JobState,
@@ -392,6 +395,71 @@ class TestShardedWorkerPool:
             assert done.wait(timeout=10)
         assert [index for index, _ in observed] == list(range(8))
         assert len({thread for _, thread in observed}) == 1
+
+    def test_distinct_keys_on_one_hash_shard_run_at_once(self):
+        """Keys 0 and 2 share a shard under ``key % 2``; placed by load they
+        go to the two idle shards, so key 0's task sees key 2's run."""
+        released = threading.Event()
+        outcome: list[bool] = []
+        with ShardedWorkerPool(2) as pool:
+            pool.submit(0, lambda: outcome.append(released.wait(timeout=10)))
+            pool.submit(2, released.set)
+        assert outcome == [True]
+
+    def test_no_load_leaks_from_errors_deaths_or_requeues(self):
+        """Two raising tasks, two mid-task deaths and two pre-start requeues,
+        all held on key 0's shard; had any of them leaked its load count,
+        that shard would read at least 2 busier and both fresh keys would
+        land on the other one."""
+
+        def die():
+            raise WorkerKilled("mid-task death")
+
+        with ShardedWorkerPool(2) as pool:
+            gate, done = threading.Event(), threading.Event()
+            with faults.injected("worker:kill:max=2"):
+                pool.submit(0, gate.wait)  # killed twice before it starts
+                for task in (lambda: 1 / 0, lambda: 1 / 0, die, die, done.set):
+                    pool.submit(0, task)
+                gate.set()
+                assert done.wait(timeout=10)
+            assert (pool.requeued_tasks, pool.worker_restarts) == (2, 4)
+            assert len(pool.task_errors) == 2
+
+            released = threading.Event()
+            outcome: list[bool] = []
+            pool.submit(4, lambda: outcome.append(released.wait(timeout=10)))
+            pool.submit(6, released.set)
+        assert outcome == [True]
+
+    def test_placement_bookkeeping_survives_concurrent_submitters(self):
+        """Six submitters (more than cores) on a 4-shard pool, each cycling
+        over keys of its own that are sometimes in flight and sometimes
+        finished: every key's tasks run in submission order, and the load
+        bookkeeping ends empty — a lost update would leave a count behind."""
+        ran: dict[int, list[int]] = {key: [] for key in range(18)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ShardedWorkerPool(4) as pool:
+
+                def submitter(first: int) -> None:
+                    for seq in range(150):
+                        key = first + seq % 3
+                        pool.submit(key, lambda key=key, seq=seq: ran[key].append(seq))
+
+                threads = [
+                    threading.Thread(target=submitter, args=(3 * i,)) for i in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ran[key] == list(range(key % 3, 150, 3)) for key in ran)
+        assert pool._load == [0] * 4 and pool._placed == {}
 
     def test_task_exceptions_are_recorded_not_fatal(self):
         with ShardedWorkerPool(1) as pool:
